@@ -58,7 +58,7 @@ pub use bds_engine::{config, metrics, sim};
 
 pub use config::{SimConfig, WorkloadKind};
 pub use metrics::SimReport;
-pub use parallel::{resolve_thread_budget, ExecCtx, PointCache};
+pub use parallel::{ExecCtx, PointCache};
 pub use sim::Simulator;
 
 // Re-export the substrate crates so downstream users need only one

@@ -174,31 +174,6 @@ impl<E> EventQueue<E> {
         });
     }
 
-    /// Consume and return the next insertion sequence number without
-    /// scheduling anything. The sharded runner stamps DPN-local lane
-    /// events with reserved sequence numbers so they merge back against
-    /// wheel-resident events in exact serial `(time, seq)` order.
-    pub fn reserve_seq(&mut self) -> u64 {
-        self.seq += 1;
-        self.seq
-    }
-
-    /// Reserve a contiguous block of `n` sequence numbers, returning the
-    /// first. Used by the sharded runner's barrier replay: one window's
-    /// worth of slice-end successors consumes exactly the block the
-    /// serial engine would have, in the same order.
-    pub fn reserve_seqs(&mut self, n: u64) -> u64 {
-        let first = self.seq + 1;
-        self.seq += n;
-        first
-    }
-
-    /// The current value of the insertion sequence counter (the seq of
-    /// the most recently scheduled or reserved event).
-    pub fn seq_counter(&self) -> u64 {
-        self.seq
-    }
-
     /// Schedule `event` after a delay from the current clock.
     pub fn schedule_after(&mut self, delay: Duration, event: E) {
         self.schedule_at(self.now + delay, event);
@@ -212,14 +187,6 @@ impl<E> EventQueue<E> {
 
     /// Pop the earliest event and advance the clock to its firing time.
     pub fn pop(&mut self) -> Option<Scheduled<E>> {
-        self.pop_keyed().map(|(s, _)| s)
-    }
-
-    /// Pop the earliest event, also returning its insertion sequence
-    /// number. The seq totally orders events sharing a firing time; the
-    /// sharded runner compares it against lane stamps to interleave
-    /// wheel-resident and DPN-local events in exact serial order.
-    pub fn pop_keyed(&mut self) -> Option<(Scheduled<E>, u64)> {
         let t = self.next_time()?;
         let old = self.now.0;
         debug_assert!(t >= old, "event queue time went backwards");
@@ -266,13 +233,10 @@ impl<E> EventQueue<E> {
         }
         self.pending -= 1;
         self.popped += 1;
-        Some((
-            Scheduled {
-                at: SimTime(t),
-                event: entry.event,
-            },
-            entry.seq,
-        ))
+        Some(Scheduled {
+            at: SimTime(t),
+            event: entry.event,
+        })
     }
 
     /// Firing time of the earliest pending event.
@@ -308,56 +272,26 @@ impl<E> EventQueue<E> {
     /// All pending events in pop order, for checkpointing. The queue is
     /// left untouched.
     ///
-    /// Pop order is insertion order within each firing time. The wheel
-    /// keeps every pending event at the level determined by the current
-    /// clock, and that level is a pure function of `(at, now)` — so all
-    /// entries sharing a firing time live in *one* container, in insertion
-    /// order, and a stable sort by firing time across containers
-    /// reconstructs the global pop order.
+    /// Pop order is insertion order within each firing time, so sorting
+    /// every wheel slot and overflow entry by `(at, seq)` reconstructs it.
     pub fn snapshot_entries(&self) -> Vec<Scheduled<E>>
     where
         E: Clone,
     {
-        self.snapshot_entries_seq()
-            .into_iter()
-            .map(|(_, s)| s)
+        let mut all: Vec<&Entry<E>> = self
+            .slots
+            .iter()
+            .flatten()
+            .chain(self.overflow.values().flat_map(|b| &b.entries))
+            .collect();
+        debug_assert_eq!(all.len(), self.pending);
+        all.sort_unstable_by_key(|e| (e.at, e.seq));
+        all.into_iter()
+            .map(|e| Scheduled {
+                at: SimTime(e.at),
+                event: e.event.clone(),
+            })
             .collect()
-    }
-
-    /// All pending events with their insertion sequence numbers, in pop
-    /// order (sorted by `(at, seq)`). The queue is left untouched. The
-    /// sharded runner uses this to split slice-end events into per-DPN
-    /// lanes while keeping their exact serial positions.
-    pub fn snapshot_entries_seq(&self) -> Vec<(u64, Scheduled<E>)>
-    where
-        E: Clone,
-    {
-        let mut out: Vec<(u64, Scheduled<E>)> = Vec::with_capacity(self.pending);
-        for slot in &self.slots {
-            out.extend(slot.iter().map(|e| {
-                (
-                    e.seq,
-                    Scheduled {
-                        at: SimTime(e.at),
-                        event: e.event.clone(),
-                    },
-                )
-            }));
-        }
-        for bucket in self.overflow.values() {
-            out.extend(bucket.entries.iter().map(|e| {
-                (
-                    e.seq,
-                    Scheduled {
-                        at: SimTime(e.at),
-                        event: e.event.clone(),
-                    },
-                )
-            }));
-        }
-        out.sort_by_key(|(seq, s)| (s.at, *seq));
-        debug_assert_eq!(out.len(), self.pending);
-        out
     }
 
     /// Rebuild a queue from a checkpoint: the clock, the pop counter, and
@@ -388,51 +322,6 @@ impl<E> EventQueue<E> {
                 event: s.event,
             });
         }
-        q
-    }
-
-    /// Rebuild a queue preserving the original insertion sequence
-    /// numbers. `entries` must be sorted by `(at, seq)` (pop order) and
-    /// `next_seq` must be at least every entry's seq; the rebuilt queue
-    /// continues allocating sequence numbers from `next_seq`. The
-    /// sharded runner uses this at setup (to lift slice-end events out
-    /// of the wheel into lanes) and at teardown (to merge them back), so
-    /// a run that was sharded mid-way is indistinguishable from one that
-    /// never was.
-    ///
-    /// # Panics
-    /// Panics if `entries` is out of `(at, seq)` order, schedules in the
-    /// past relative to `now`, or carries a seq beyond `next_seq`.
-    pub fn from_entries_seq(
-        now: SimTime,
-        popped: u64,
-        next_seq: u64,
-        entries: Vec<(u64, Scheduled<E>)>,
-    ) -> Self {
-        let mut q = EventQueue::new();
-        q.now = now;
-        q.popped = popped;
-        let mut prev = (now, 0u64);
-        for (seq, s) in entries {
-            assert!(
-                (s.at, seq) >= prev,
-                "EventQueue::from_entries_seq: entries out of order ({:?} < {:?})",
-                (s.at, seq),
-                prev
-            );
-            assert!(
-                seq <= next_seq,
-                "EventQueue::from_entries_seq: seq {seq} beyond counter {next_seq}"
-            );
-            prev = (s.at, seq);
-            q.pending += 1;
-            q.place(Entry {
-                at: s.at.0,
-                seq,
-                event: s.event,
-            });
-        }
-        q.seq = next_seq;
         q
     }
 
@@ -628,59 +517,22 @@ mod tests {
     }
 
     #[test]
-    fn pop_keyed_exposes_monotone_seqs_per_instant() {
+    fn same_instant_pops_stay_fifo_across_earlier_pushes() {
+        // An earlier event pushed after two same-instant ones pops
+        // first; the same-instant pair then pops in push order, and
+        // same-instant pushes made once the clock sits on that instant
+        // pop after both, in push order.
         let mut q = EventQueue::new();
         q.schedule_at(SimTime::from_millis(5), "a");
         q.schedule_at(SimTime::from_millis(5), "b");
         q.schedule_at(SimTime::from_millis(3), "c");
-        let (s1, q1) = q.pop_keyed().unwrap();
-        assert_eq!(s1.event, "c");
-        assert_eq!(q1, 3);
-        let (s2, q2) = q.pop_keyed().unwrap();
-        let (s3, q3) = q.pop_keyed().unwrap();
-        assert_eq!((s2.event, s3.event), ("a", "b"));
-        assert!(q2 < q3, "same-instant seqs must order FIFO");
-    }
-
-    #[test]
-    fn reserved_seqs_interleave_with_scheduled_ones() {
-        let mut q = EventQueue::new();
-        q.schedule_at(SimTime::from_millis(5), 0);
-        let r = q.reserve_seq();
-        q.schedule_at(SimTime::from_millis(5), 1);
-        let (_, s0) = q.pop_keyed().unwrap();
-        let (_, s1) = q.pop_keyed().unwrap();
-        assert!(s0 < r && r < s1);
-        let first = q.reserve_seqs(3);
-        assert_eq!(first, r + 2);
-        assert_eq!(q.seq_counter(), r + 4);
-    }
-
-    #[test]
-    fn from_entries_seq_round_trips_with_lane_merge() {
-        // Simulate the sharded teardown: pull two same-instant entries
-        // out, hold them aside with their seqs, splice them back via
-        // from_entries_seq, and check pop order matches the original.
-        let mut q = EventQueue::new();
-        for (t, i) in [(10u64, 0), (10, 1), (10, 2), (20, 3)] {
-            q.schedule_at(SimTime::from_millis(t), i);
-        }
-        let all = q.snapshot_entries_seq();
-        let (held, kept): (Vec<_>, Vec<_>) = all.into_iter().partition(|(_, s)| s.event % 2 == 1);
-        let rebuilt =
-            EventQueue::from_entries_seq(q.now(), q.events_processed(), q.seq_counter(), kept);
-        // Merge the held entries back, as teardown does.
-        let mut merged = rebuilt.snapshot_entries_seq();
-        merged.extend(held);
-        merged.sort_by_key(|(seq, s)| (s.at, *seq));
-        let mut full = EventQueue::from_entries_seq(
-            rebuilt.now(),
-            rebuilt.events_processed(),
-            rebuilt.seq_counter(),
-            merged,
-        );
-        let order: Vec<_> = std::iter::from_fn(|| full.pop().map(|s| s.event)).collect();
-        assert_eq!(order, vec![0, 1, 2, 3]);
+        assert_eq!(q.pop().unwrap().event, "c");
+        assert_eq!(q.pop().unwrap().event, "a");
+        q.schedule_now("d");
+        q.schedule_at(SimTime::from_millis(5), "e");
+        let order: Vec<_> = std::iter::from_fn(|| q.pop().map(|s| s.event)).collect();
+        assert_eq!(order, vec!["b", "d", "e"]);
+        assert_eq!(q.now(), SimTime::from_millis(5));
     }
 
     #[test]

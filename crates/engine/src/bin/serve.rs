@@ -6,7 +6,7 @@
 //! time; the simulation session persists across connections).
 //!
 //! ```text
-//! {"cmd":"configure","scheduler":"gow","lambda":0.6,"horizon_s":2000,"shards":4}
+//! {"cmd":"configure","scheduler":"gow","lambda":0.6,"horizon_s":2000}
 //! {"cmd":"run-until","t_ms":50000}
 //! {"cmd":"step","n":10}
 //! {"cmd":"submit","steps":[["r",3,1200.0],["w",7,600.0]]}
@@ -25,8 +25,8 @@
 //! `watch` is the one streaming command: it advances the simulation in
 //! `interval_ms` sim-time chunks and emits one `{"watch":true,...}`
 //! NDJSON telemetry delta per chunk (engine progress, windowed
-//! commit/restart/arrival rates, host-profiler phase shares and
-//! shard/barrier stats) *before* the final `"ok"` reply, so a running
+//! commit/restart/arrival rates and host-profiler phase shares)
+//! *before* the final `"ok"` reply, so a running
 //! simulation can be observed without stopping it.
 //! The binary uses only the standard library and the workspace's own
 //! hand-rolled JSON reader/writers — no external dependencies.
@@ -101,8 +101,6 @@ fn serve_stream(reader: impl BufRead, mut writer: impl Write, session: &mut Sess
 struct Session {
     cfg: Option<SimConfig>,
     engine: Option<Engine>,
-    /// Worker shards for `run`/`run-until` (1 = serial engine loop).
-    shards: usize,
 }
 
 fn err(msg: &str) -> String {
@@ -330,11 +328,9 @@ impl Session {
         if let Some(JsonValue::Bool(true)) = req.get("profile") {
             engine.set_profiler(Profiler::on());
         }
-        self.shards = get_u64(req, "shards").unwrap_or(1).max(1) as usize;
         let mut o = ok();
         o.str("scheduler", engine.label());
         o.int("horizon_ms", engine.horizon().as_millis());
-        o.int("shards", self.shards as u64);
         self.cfg = Some(cfg);
         self.engine = Some(engine);
         Ok(o.finish())
@@ -364,13 +360,8 @@ impl Session {
 
     fn run_until(&mut self, req: &JsonValue) -> Result<String, String> {
         let t = get_u64(req, "t_ms").ok_or("run-until wants t_ms")?;
-        let shards = self.shards;
         let e = self.engine()?;
-        let n = if shards > 1 {
-            e.run_until_sharded(SimTime::from_millis(t), shards)
-        } else {
-            e.run_until(SimTime::from_millis(t))
-        };
+        let n = e.run_until(SimTime::from_millis(t));
         let mut o = ok();
         o.int("events", n);
         o.int("now_ms", e.now().as_millis());
@@ -378,14 +369,9 @@ impl Session {
     }
 
     fn run(&mut self) -> Result<String, String> {
-        let shards = self.shards;
         let e = self.engine()?;
         let before = e.events_processed();
-        if shards > 1 {
-            e.run_to_horizon_sharded(shards);
-        } else {
-            e.run_to_horizon();
-        }
+        e.run_to_horizon();
         let mut o = ok();
         o.int("events", e.events_processed() - before);
         o.int("now_ms", e.now().as_millis());
@@ -679,7 +665,6 @@ impl Session {
     }
 
     fn status(&mut self) -> Result<String, String> {
-        let shards = self.shards;
         let e = self.engine()?;
         let mut o = ok();
         o.str("scheduler", e.label());
@@ -694,15 +679,7 @@ impl Session {
             "conserved",
             e.arrived() == e.completed() + e.killed() + e.in_flight(),
         );
-        o.int("shards", shards as u64);
         o.bool("profiler", e.profiler_enabled());
-        // Why sharded runs (if any) degraded to the serial loop — stays
-        // set for the session once tripped, so a client that configured
-        // shards>1 can see its parallelism silently went away.
-        match e.shard_fallback_reason() {
-            Some(reason) => o.str("shard_fallback", reason),
-            None => o.raw("shard_fallback", "null"),
-        }
         o.raw("build", &bds_obs::build_info_json());
         Ok(o.finish())
     }
@@ -710,10 +687,9 @@ impl Session {
     /// Advance the simulation in `interval_ms` sim-time chunks up to
     /// `t_ms` (default: the horizon), streaming one NDJSON telemetry
     /// delta per chunk to the client before the final reply. Installs
-    /// the host profiler if none is attached, so phase shares and
-    /// shard/barrier stats are included from the first delta.
+    /// the host profiler if none is attached, so phase shares are
+    /// included from the first delta.
     fn watch(&mut self, req: &JsonValue, sink: &mut dyn Write) -> Result<String, String> {
-        let shards = self.shards;
         let e = self
             .engine
             .as_mut()
@@ -738,11 +714,7 @@ impl Session {
         let mut cursor = prev.t_ms;
         while cursor < target && deltas < max_deltas {
             cursor = (cursor + interval).min(target);
-            if shards > 1 {
-                e.run_until_sharded(SimTime::from_millis(cursor), shards);
-            } else {
-                e.run_until(SimTime::from_millis(cursor));
-            }
+            e.run_until(SimTime::from_millis(cursor));
             let cur = WatchPoint::capture(e, cursor);
             deltas += 1;
             let line = watch_delta(e, &prev, &cur, deltas, started.elapsed().as_millis() as u64);
@@ -792,8 +764,7 @@ impl WatchPoint {
 }
 
 /// One `{"watch":true,...}` NDJSON line: cumulative progress, windowed
-/// per-sim-second rates, and (when the profiler is live) phase shares
-/// plus shard/barrier telemetry.
+/// per-sim-second rates, and (when the profiler is live) phase shares.
 fn watch_delta(e: &Engine, prev: &WatchPoint, cur: &WatchPoint, seq: u64, wall_ms: u64) -> String {
     let mut o = JsonObj::new();
     o.bool("watch", true);
@@ -826,16 +797,6 @@ fn watch_delta(e: &Engine, prev: &WatchPoint, cur: &WatchPoint, seq: u64, wall_m
             phases.num(label, share);
         }
         o.raw("phases", &phases.finish());
-        let mut obs = JsonObj::new();
-        obs.int("windows", prof.windows);
-        obs.int("rotations", prof.rotations);
-        obs.int("stales", prof.stales);
-        obs.int("fanout_taken", prof.fanout_taken);
-        obs.int("fanout_inline", prof.fanout_inline);
-        obs.int("shards", prof.shards.len() as u64);
-        obs.opt_num("imbalance", prof.imbalance());
-        obs.opt_num("min_attribution", prof.min_attribution());
-        o.raw("obs", &obs.finish());
     }
     o.finish()
 }

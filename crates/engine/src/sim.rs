@@ -50,17 +50,6 @@ impl Simulator {
         sim.report()
     }
 
-    /// Run to the horizon with the simulation sharded across `shards`
-    /// worker threads (conservative time-window barrier; see
-    /// [`Engine::run_until_sharded`]). The report is byte-identical to
-    /// [`Simulator::run`] for every shard count — sharding changes wall
-    /// clock, never results.
-    pub fn run_sharded(cfg: &SimConfig, shards: usize) -> SimReport {
-        let mut sim = Simulator::new(cfg);
-        sim.engine.run_to_horizon_sharded(shards);
-        sim.report()
-    }
-
     /// Run with a ring-buffer tracer of the given capacity and return
     /// both the report and the captured trace. The report is
     /// byte-identical to an untraced [`Simulator::run`] of the same
@@ -303,5 +292,20 @@ mod tests {
         }
         assert_eq!(e.report(), bulk);
         assert_eq!(n, bulk.events);
+    }
+
+    #[test]
+    fn profiled_run_matches_bulk_run() {
+        // The host profiler only observes: same report as the plain
+        // loop, with every pump pass counted in the event-queue phase.
+        let c = cfg(SchedulerKind::C2pl).with_lambda(0.6);
+        let bulk = Simulator::run(&c);
+        let mut e = Engine::new(&c);
+        e.set_profiler(bds_obs::Profiler::on());
+        e.run_to_horizon();
+        assert_eq!(e.report(), bulk);
+        let prof = e.take_profile().expect("profiler was on");
+        let eq = &prof.phases[bds_obs::Phase::EventQueue as usize];
+        assert!(eq.count >= bulk.events && eq.sampled > 0);
     }
 }

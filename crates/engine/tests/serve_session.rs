@@ -302,41 +302,36 @@ fn batch_epoch_schedulers_serve_end_to_end() {
 }
 
 #[test]
-fn sharded_session_matches_serial() {
-    // The `shards` knob changes wall-clock strategy only: a session run
-    // with worker shards must produce byte-identical reports — and keep
-    // snapshot/restore working — versus a plain serial session.
+fn faulted_session_restores_identically() {
+    // A checkpoint taken after a DPN crash restores into the same
+    // session, and the remainder matches a straight-through run.
     let dir = std::env::temp_dir();
-    let ckpt = dir.join(format!("bds-serve-shard-{}.json", std::process::id()));
+    let ckpt = dir.join(format!("bds-serve-fault-{}.json", std::process::id()));
     let ckpt_str = ckpt.to_str().expect("utf-8 temp path");
-    let serial_cfg = r#"{"cmd":"configure","scheduler":"gow","lambda":0.6,"horizon_s":300,"seed":17,"faults":"crash=1@60x20"}"#;
-    let sharded_cfg = r#"{"cmd":"configure","scheduler":"gow","lambda":0.6,"horizon_s":300,"seed":17,"faults":"crash=1@60x20","shards":4}"#;
+    let cfg = r#"{"cmd":"configure","scheduler":"gow","lambda":0.6,"horizon_s":300,"seed":17,"faults":"crash=1@60x20"}"#;
 
     let mut a = Serve::spawn();
-    a.send(serial_cfg);
+    a.send(cfg);
     a.send(r#"{"cmd":"run"}"#);
-    let serial = a.send(r#"{"cmd":"report"}"#);
+    let straight = a.send(r#"{"cmd":"report"}"#);
     a.quit();
 
     let mut b = Serve::spawn();
-    let r = b.send(sharded_cfg);
-    assert_eq!(num(&r, "shards"), 4);
+    b.send(cfg);
     b.send(r#"{"cmd":"run-until","t_ms":90000}"#);
     let status = b.send(r#"{"cmd":"status"}"#);
     check_conserved(&status);
-    // A snapshot taken between sharded runs restores into the same
-    // session and the remainder still matches the serial outcome.
     b.send(&format!(r#"{{"cmd":"snapshot","path":"{ckpt_str}"}}"#));
     b.send(r#"{"cmd":"run-until","t_ms":200000}"#);
     b.send(&format!(r#"{{"cmd":"restore","path":"{ckpt_str}"}}"#));
     b.send(r#"{"cmd":"run"}"#);
-    let sharded = b.send(r#"{"cmd":"report"}"#);
+    let restored = b.send(r#"{"cmd":"report"}"#);
     b.quit();
 
     assert_eq!(
-        serial.get("report"),
-        sharded.get("report"),
-        "sharded session diverged from serial"
+        straight.get("report"),
+        restored.get("report"),
+        "restore after a crash changed the outcome"
     );
     let _ = std::fs::remove_file(&ckpt);
 }
@@ -350,12 +345,10 @@ fn watch_streams_live_telemetry_deltas() {
     let plain = a.send(r#"{"cmd":"report"}"#);
     a.quit();
 
-    // Watched session: sharded, advanced in 20 s chunks with one
-    // telemetry delta streamed per chunk.
+    // Watched session: advanced in 20 s chunks with one telemetry
+    // delta streamed per chunk.
     let mut s = Serve::spawn();
-    s.send(
-        r#"{"cmd":"configure","scheduler":"gow","lambda":0.6,"horizon_s":300,"seed":5,"shards":2}"#,
-    );
+    s.send(r#"{"cmd":"configure","scheduler":"gow","lambda":0.6,"horizon_s":300,"seed":5}"#);
     let (deltas, reply) = s.send_watch(r#"{"cmd":"watch","t_ms":120000,"interval_ms":20000}"#);
     assert_eq!(num(&reply, "deltas"), deltas.len() as u64);
     assert!(deltas.len() >= 3, "wanted >=3 deltas, got {}", deltas.len());
@@ -373,23 +366,15 @@ fn watch_streams_live_telemetry_deltas() {
             .get("event_queue")
             .and_then(JsonValue::as_num)
             .is_some());
-        let obs = d.get("obs").expect("shard/barrier stats");
-        assert!(obs.get("windows").and_then(JsonValue::as_num).is_some());
     }
     let last = deltas.last().expect("deltas");
     assert!(num(last, "events") > 0);
     assert!(num(last, "completed") > 0);
-    assert!(
-        num(last.get("obs").expect("obs"), "windows") > 0,
-        "sharded watch saw no barrier windows: {last:?}"
-    );
 
-    // Status is enriched with shard, profiler, fallback, and build info.
+    // Status is enriched with profiler and build info.
     let status = s.send(r#"{"cmd":"status"}"#);
     check_conserved(&status);
-    assert_eq!(num(&status, "shards"), 2);
     assert_eq!(status.get("profiler"), Some(&JsonValue::Bool(true)));
-    assert_eq!(status.get("shard_fallback"), Some(&JsonValue::Null));
     let build = status.get("build").expect("build info");
     assert_eq!(
         build.get("package").and_then(JsonValue::as_str),

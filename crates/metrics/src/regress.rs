@@ -460,19 +460,19 @@ mod tests {
     fn speedup_metrics_regress_downward_only() {
         // A beefier runner than the baseline machine is never a failure…
         let r = cmp(
-            r#"{"sharded_speedup":1.1}"#,
-            r#"{"sharded_speedup":3.2}"#,
+            r#"{"jobs_speedup":1.1}"#,
+            r#"{"jobs_speedup":3.2}"#,
             Tolerances::default(),
         );
         assert!(!r.regressed(), "{}", r.render());
         // …but a collapse below baseline-minus-slack is.
         let r = cmp(
-            r#"{"sharded_speedup":2.5}"#,
-            r#"{"sharded_speedup":0.8}"#,
+            r#"{"jobs_speedup":2.5}"#,
+            r#"{"jobs_speedup":0.8}"#,
             Tolerances::default(),
         );
         assert!(r.regressed(), "{}", r.render());
-        assert_eq!(r.regressions()[0].path, "sharded_speedup");
+        assert_eq!(r.regressions()[0].path, "jobs_speedup");
     }
 
     #[test]
