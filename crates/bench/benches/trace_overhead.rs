@@ -1,5 +1,5 @@
 //! Tracing-path microbenchmarks: what one lifecycle event costs on the
-//! disabled path (`Tracer::Off` / `NullSink`) versus the ring recorder,
+//! disabled path (`Tracer::Off`) versus the ring recorder,
 //! and the end-to-end wall-clock delta of a fully traced simulation.
 //!
 //! Plain `Instant`-based harness (no external benchmark framework): each
@@ -9,7 +9,7 @@
 use batchsched::config::{SimConfig, WorkloadKind};
 use batchsched::des::time::{Duration, SimTime};
 use batchsched::sim::Simulator;
-use batchsched::trace::{EventKind, NullSink, Rec, RingRecorder, TraceSink, Tracer};
+use batchsched::trace::{EventKind, Rec, RingRecorder, Tracer};
 use batchsched::wtpg::TxnId;
 use bds_sched::SchedulerKind;
 use bds_workload::FileId;
@@ -65,12 +65,6 @@ fn bench_emit_paths() {
             t.emit(|| sample_rec(i));
         }
         t.counts().map(|c| c.total()).unwrap_or(0)
-    });
-    bench("null_sink_record_1k", || {
-        let mut s = NullSink;
-        for i in 0..1000u64 {
-            s.record(black_box(sample_rec(i)));
-        }
     });
     bench("ring_recorder_record_1k", || {
         let mut s = RingRecorder::new(2048);

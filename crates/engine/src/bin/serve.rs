@@ -22,6 +22,10 @@
 //! ```
 //!
 //! Every response carries `"ok":true` or `"ok":false` plus `"error"`.
+//! `step` replies with `effects`: the trace records its events emitted,
+//! in order, each rendered by `Rec::to_json` as
+//! `{"e":<kind>,"at_ms":…,<fields>}` (e.g.
+//! `{"e":"abort","at_ms":41250,"txn":17,"cause":"scheduler"}`).
 //! `watch` is the one streaming command: it advances the simulation in
 //! `interval_ms` sim-time chunks and emits one `{"watch":true,...}`
 //! NDJSON telemetry delta per chunk (engine progress, windowed
@@ -33,9 +37,9 @@
 
 use bds_des::time::{Duration, SimTime};
 use bds_engine::config::{SimConfig, WorkloadKind};
-use bds_engine::engine::{AbortCause, Effect, Engine};
+use bds_engine::engine::Engine;
 use bds_engine::snapshot::Snapshot;
-use bds_fault::{FaultAction, FaultPlan};
+use bds_fault::FaultPlan;
 use bds_metrics::{parse, JsonValue, PromText};
 use bds_obs::Profiler;
 use bds_sched::SchedulerKind;
@@ -163,84 +167,6 @@ fn parse_workload(s: &str) -> Result<WorkloadKind, String> {
     Err(format!("unknown workload {s:?} (exp1:N | exp2 | exp3:N:S)"))
 }
 
-fn effect_json(e: &Effect) -> String {
-    let mut o = JsonObj::new();
-    match e {
-        Effect::Arrived { txn } => {
-            o.str("e", "arrived");
-            o.int("txn", txn.0);
-        }
-        Effect::Admitted { txn } => {
-            o.str("e", "admitted");
-            o.int("txn", txn.0);
-        }
-        Effect::AdmitRefused { txn } => {
-            o.str("e", "admit-refused");
-            o.int("txn", txn.0);
-        }
-        Effect::Granted { txn, step, file } => {
-            o.str("e", "granted");
-            o.int("txn", txn.0);
-            o.int("step", *step as u64);
-            o.int("file", u64::from(file.0));
-        }
-        Effect::Blocked { txn, step, file } => {
-            o.str("e", "blocked");
-            o.int("txn", txn.0);
-            o.int("step", *step as u64);
-            o.int("file", u64::from(file.0));
-        }
-        Effect::Delayed { txn, step, file } => {
-            o.str("e", "delayed");
-            o.int("txn", txn.0);
-            o.int("step", *step as u64);
-            o.int("file", u64::from(file.0));
-        }
-        Effect::RestartScheduled { txn } => {
-            o.str("e", "restart");
-            o.int("txn", txn.0);
-        }
-        Effect::Committed { txn } => {
-            o.str("e", "committed");
-            o.int("txn", txn.0);
-        }
-        Effect::Aborted { txn, cause } => {
-            o.str("e", "aborted");
-            o.int("txn", txn.0);
-            o.str(
-                "cause",
-                match cause {
-                    AbortCause::Validation => "validation",
-                    AbortCause::Scheduler => "scheduler",
-                    AbortCause::Fault => "fault",
-                },
-            );
-        }
-        Effect::Killed { txn } => {
-            o.str("e", "killed");
-            o.int("txn", txn.0);
-        }
-        Effect::Fault(action) => {
-            o.str("e", "fault");
-            match action {
-                FaultAction::CrashNode { node } => {
-                    o.str("action", "crash");
-                    o.int("node", u64::from(*node));
-                }
-                FaultAction::RecoverNode { node } => {
-                    o.str("action", "recover");
-                    o.int("node", u64::from(*node));
-                }
-                FaultAction::StallCn { dur } => {
-                    o.str("action", "stall-cn");
-                    o.int("dur_ms", dur.as_millis());
-                }
-            }
-        }
-    }
-    o.finish()
-}
-
 impl Session {
     /// Dispatch one request line; returns (reply JSON, quit?).
     ///
@@ -321,7 +247,6 @@ impl Session {
         }
         let mut engine = Engine::new(&cfg);
         engine.enable_checkpointing();
-        engine.enable_effects();
         if let Some(dt) = get_u64(req, "metrics_dt_ms") {
             engine.set_metrics_interval(Duration::from_millis(dt));
         }
@@ -339,16 +264,19 @@ impl Session {
     fn step(&mut self, req: &JsonValue) -> Result<String, String> {
         let n = get_u64(req, "n").unwrap_or(1);
         let e = self.engine()?;
-        let mut effects = JsonArr::new();
+        let mut recs = Vec::new();
         let mut processed = 0u64;
         let mut at = e.now();
         for _ in 0..n {
-            let Some(se) = e.step() else { break };
+            let Some(t) = e.step_into(&mut recs) else {
+                break;
+            };
             processed += 1;
-            at = se.at;
-            for fx in &se.effects {
-                effects.raw(&effect_json(fx));
-            }
+            at = t;
+        }
+        let mut effects = JsonArr::new();
+        for rec in &recs {
+            effects.raw(&rec.to_json());
         }
         let mut o = ok();
         o.int("events", processed);
@@ -479,8 +407,7 @@ impl Session {
             .as_mut()
             .map(Engine::take_profiler)
             .unwrap_or_default();
-        let mut engine = Engine::restore_with_profiler(base, &snap, obs);
-        engine.enable_effects();
+        let engine = Engine::restore_with_profiler(base, &snap, obs);
         let mut o = ok();
         o.str("scheduler", engine.label());
         o.int("now_ms", engine.now().as_millis());

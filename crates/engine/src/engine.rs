@@ -25,19 +25,19 @@
 //! defers only the transaction's own progress), which keeps the
 //! simulation deterministic.
 //!
-//! ## Engine vs. Simulator
+//! ## One loop, one event vocabulary
 //!
 //! [`Engine`] owns the single event loop. [`Engine::step`] pops exactly
-//! one event and (when effect reporting is enabled) returns the
-//! externally visible [`Effect`]s it produced; [`Engine::run_until`] and
+//! one event; [`Engine::step_into`] does the same and also hands back
+//! the trace [`Rec`]s that event emitted; [`Engine::run_until`] and
 //! [`Engine::run_to_horizon`] drive the same internal `pump` in bulk.
-//! The historical [`crate::sim::Simulator`] API is a thin adapter over
-//! an `Engine`.
+//! The historical [`crate::sim::Simulator`] name is an alias of
+//! `Engine`.
 //!
-//! Three optional observers ride on the hot loop, each costing one
-//! predictable branch when off (the same pattern as `bds-trace`'s
-//! `Tracer`): the tracer, the metrics sampler, and the effect buffer.
-//! A fourth — the scheduler op-log behind [`Engine::snapshot`] — is
+//! Two optional observers ride on the hot loop, each costing one
+//! predictable branch when off: the tracer (`bds-trace`'s `Tracer`,
+//! which `step_into` borrows for one event) and the metrics sampler.
+//! A third — the scheduler op-log behind [`Engine::snapshot`] — is
 //! enabled by [`Engine::enable_checkpointing`] and records every
 //! scheduler call so a restore can rebuild the scheduler by replay
 //! (schedulers are deterministic, RNG-free state machines).
@@ -48,7 +48,7 @@ use crate::metrics::SimReport;
 use crate::snapshot::{DpnState, HistState, MetricsState, SchedOp, Snapshot};
 use bds_des::events::Scheduled;
 use bds_des::fcfs::FcfsServer;
-use bds_des::stats::{Histogram, TimeWeighted, Welford};
+use bds_des::stats::{TimeWeighted, Welford};
 use bds_des::time::{Duration, SimTime};
 use bds_des::EventQueue;
 use bds_fault::{DegradedMode, FaultAction};
@@ -56,6 +56,7 @@ use bds_machine::{Cohort, CohortId, Dpn, Placement};
 use bds_metrics::{LogHistogram, Sampler, TimeSeries};
 use bds_obs::{ObsReport, Phase as ObsPhase, Profiler};
 use bds_sched::{ReqDecision, Scheduler, SchedulerKind, StartDecision};
+pub use bds_trace::AbortCause;
 use bds_trace::{EventKind, Rec, TraceData, Tracer};
 use bds_workload::arrivals::PoissonArrivals;
 use bds_workload::gen::WorkloadGen;
@@ -103,99 +104,6 @@ pub(crate) enum Phase {
 pub(crate) enum WaitKind {
     Blocked,
     Delayed,
-}
-
-/// Why a transaction attempt was aborted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AbortCause {
-    /// OPT certification failed at commit.
-    Validation,
-    /// The scheduler ordered a restart (restart-oriented protocols).
-    Scheduler,
-    /// An injected fault (DPN crash) destroyed the attempt's cohorts.
-    Fault,
-}
-
-/// One externally visible consequence of processing an event, reported
-/// by [`Engine::step`] when effect collection is enabled.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Effect {
-    /// A transaction arrived (Poisson process or [`Engine::submit`]).
-    Arrived {
-        /// The arriving transaction.
-        txn: TxnId,
-    },
-    /// The scheduler admitted a queued transaction.
-    Admitted {
-        /// The admitted transaction.
-        txn: TxnId,
-    },
-    /// The scheduler refused admission (the transaction stays queued).
-    AdmitRefused {
-        /// The refused transaction.
-        txn: TxnId,
-    },
-    /// A lock request was granted.
-    Granted {
-        /// The requesting transaction.
-        txn: TxnId,
-        /// The step that requested the lock.
-        step: usize,
-        /// The file the lock covers.
-        file: FileId,
-    },
-    /// A lock request blocked on held locks.
-    Blocked {
-        /// The requesting transaction.
-        txn: TxnId,
-        /// The step that requested the lock.
-        step: usize,
-        /// The contended file.
-        file: FileId,
-    },
-    /// A lock request was delayed by scheduler policy.
-    Delayed {
-        /// The requesting transaction.
-        txn: TxnId,
-        /// The step that requested the lock.
-        step: usize,
-        /// The file in question.
-        file: FileId,
-    },
-    /// An aborted transaction re-entered the start queue.
-    RestartScheduled {
-        /// The restarting transaction.
-        txn: TxnId,
-    },
-    /// A transaction committed.
-    Committed {
-        /// The committed transaction.
-        txn: TxnId,
-    },
-    /// A transaction attempt was aborted.
-    Aborted {
-        /// The aborted transaction.
-        txn: TxnId,
-        /// Why the attempt died.
-        cause: AbortCause,
-    },
-    /// A transaction was dropped permanently (fault retry cap).
-    Killed {
-        /// The killed transaction.
-        txn: TxnId,
-    },
-    /// A fault-plan action fired.
-    Fault(FaultAction),
-}
-
-/// The result of one [`Engine::step`]: the event's timestamp plus the
-/// effects it produced (empty unless [`Engine::enable_effects`] ran).
-#[derive(Debug, Clone, PartialEq)]
-pub struct StepEffects {
-    /// Simulated time of the processed event.
-    pub at: SimTime,
-    /// Externally visible consequences, in occurrence order.
-    pub effects: Vec<Effect>,
 }
 
 #[derive(Debug, Clone, PartialEq)]
@@ -247,10 +155,6 @@ pub struct Engine {
     cohort_owner: IdMap,
     live: TimeWeighted,
     rt: Welford,
-    /// Legacy 1-second-bin response-time histogram; allocated only under
-    /// `cfg.legacy_second_bin_percentiles` (the log-bucketed `rt_log`
-    /// serves percentiles otherwise).
-    rt_hist: Option<Histogram>,
     arrived: u64,
     started: u64,
     completed: u64,
@@ -309,9 +213,6 @@ pub struct Engine {
     /// Counter/busy-time snapshot at the previous metrics sample, for
     /// per-window rates and utilizations.
     metrics_prev: PrevSample,
-    /// Effect buffer for [`Engine::step`]; `None` (one branch per
-    /// emission site) unless [`Engine::enable_effects`] ran.
-    effects: Option<Vec<Effect>>,
     /// Scheduler op-log for [`Engine::snapshot`]; `None` (one branch
     /// per scheduler call) unless [`Engine::enable_checkpointing`] ran.
     oplog: Option<Vec<SchedOp>>,
@@ -419,11 +320,6 @@ impl Engine {
             cohort_owner: IdMap::new(),
             live: TimeWeighted::new(SimTime::ZERO, 0.0),
             rt: Welford::new(),
-            // 1-second buckets; only the legacy percentile engine reads
-            // it, so only then allocate.
-            rt_hist: cfg
-                .legacy_second_bin_percentiles
-                .then(|| Histogram::new(1.0, 4000)),
             arrived: 0,
             started: 0,
             completed: 0,
@@ -451,7 +347,6 @@ impl Engine {
             rt_log: LogHistogram::new(),
             metrics: Sampler::Off,
             metrics_prev: PrevSample::default(),
-            effects: None,
             oplog: None,
             obs: Profiler::Off,
             admission_hold: false,
@@ -526,15 +421,6 @@ impl Engine {
         self.obs.report()
     }
 
-    /// Collect [`Effect`]s for [`Engine::step`] from now on. Off by
-    /// default: bulk drivers never pay for effect construction beyond
-    /// one branch per emission site.
-    pub fn enable_effects(&mut self) {
-        if self.effects.is_none() {
-            self.effects = Some(Vec::new());
-        }
-    }
-
     /// Start recording the scheduler op-log that [`Engine::snapshot`]
     /// embeds. Must run before the first event so the replayed
     /// scheduler sees its complete call history.
@@ -554,15 +440,6 @@ impl Engine {
         );
         if self.oplog.is_none() {
             self.oplog = Some(Vec::new());
-        }
-    }
-
-    /// Push an effect when collection is enabled (one predictable
-    /// branch when off, like `Tracer::emit`).
-    #[inline(always)]
-    fn fx(&mut self, make: impl FnOnce() -> Effect) {
-        if let Some(buf) = &mut self.effects {
-            buf.push(make());
         }
     }
 
@@ -605,19 +482,28 @@ impl Engine {
     }
 
     /// Process exactly one event (the next one at or before the
-    /// horizon). Returns `None` when the run is over — queue drained or
-    /// next event past the horizon. Effects are reported only after
-    /// [`Engine::enable_effects`].
-    pub fn step(&mut self) -> Option<StepEffects> {
-        if let Some(buf) = &mut self.effects {
-            buf.clear();
-        }
-        let at = self.pump(self.horizon())?;
-        let effects = match &mut self.effects {
-            Some(buf) => std::mem::take(buf),
-            None => Vec::new(),
+    /// horizon) and return its timestamp. Returns `None` when the run is
+    /// over — queue drained or next event past the horizon.
+    pub fn step(&mut self) -> Option<SimTime> {
+        self.pump(self.horizon())
+    }
+
+    /// [`Engine::step`], appending to `out` exactly the trace records
+    /// the event emitted (the same records a ring tracer would capture).
+    /// The tap lives only for this call; an installed tracer still
+    /// receives every record.
+    pub fn step_into(&mut self, out: &mut Vec<Rec>) -> Option<SimTime> {
+        let from = out.len();
+        let installed = std::mem::replace(&mut self.tracer, Tracer::Tap(std::mem::take(out)));
+        let at = self.step();
+        let Tracer::Tap(buf) = std::mem::replace(&mut self.tracer, installed) else {
+            unreachable!("the tap is only replaced here")
         };
-        Some(StepEffects { at, effects })
+        *out = buf;
+        for &rec in &out[from..] {
+            self.tracer.emit(|| rec);
+        }
+        at
     }
 
     /// Process every event at or before `limit` (clamped to the
@@ -713,16 +599,6 @@ impl Engine {
         }
     }
 
-    /// Response-time quantile from the active percentile engine: the
-    /// log-bucketed histogram (≤ 1 % relative error) by default, or the
-    /// legacy 1-second-bin histogram under the compatibility flag.
-    fn rt_quantile(&self, q: f64) -> Option<f64> {
-        match &self.rt_hist {
-            Some(h) => h.quantile(q),
-            None => self.rt_log.quantile(q),
-        }
-    }
-
     // ----- accessors ---------------------------------------------------
 
     /// Per-DPN downtime accumulated up to `at` (nodes still down are
@@ -815,9 +691,9 @@ impl Engine {
             cn_utilization: self.cn.utilization(horizon),
             dpn_utilization: dpn_util,
             mean_live: self.live.average(horizon),
-            rt_p50_secs: self.rt_quantile(0.50),
-            rt_p90_secs: self.rt_quantile(0.90),
-            rt_p99_secs: self.rt_quantile(0.99),
+            rt_p50_secs: self.rt_log.quantile(0.50),
+            rt_p90_secs: self.rt_log.quantile(0.90),
+            rt_p99_secs: self.rt_log.quantile(0.99),
             queued_at_end: self.start_queue.len() as u64,
             events: self.events.events_processed(),
             lock_requests: self.lock_requests,
@@ -942,7 +818,6 @@ impl Engine {
                     at: now,
                     kind: EventKind::Restart { txn: id },
                 });
-                self.fx(|| Effect::RestartScheduled { txn: id });
                 self.start_queue.push_back(id);
                 self.try_admissions();
             }
@@ -990,7 +865,6 @@ impl Engine {
             at: now,
             kind: EventKind::Arrival { txn: id },
         });
-        self.fx(|| Effect::Arrived { txn: id });
         self.start_queue.push_back(id);
         id
     }
@@ -1051,7 +925,6 @@ impl Engine {
                         at: now,
                         kind: EventKind::Admit { txn: id },
                     });
-                    self.fx(|| Effect::Admitted { txn: id });
                     self.trace_edges();
                     let txn = self.txns.get_mut(id.0).expect("admitted unknown txn");
                     if !txn.ever_started {
@@ -1075,7 +948,6 @@ impl Engine {
                         at: now,
                         kind: EventKind::AdmitRefuse { txn: id, reason },
                     });
-                    self.fx(|| Effect::AdmitRefused { txn: id });
                     i += 1;
                     if costed_tests >= self.cfg.admission_scan_limit {
                         break;
@@ -1142,11 +1014,6 @@ impl Engine {
                         file,
                     },
                 });
-                self.fx(|| Effect::Granted {
-                    txn: id,
-                    step,
-                    file,
-                });
                 self.trace_edges();
                 if let Some(seq) = pending_seq {
                     self.remove_pending(seq);
@@ -1183,7 +1050,7 @@ impl Engine {
                 if let Some(seq) = pending_seq {
                     self.remove_pending(seq);
                 }
-                self.restart_txn(id);
+                self.abort_txn(id, AbortCause::Scheduler);
                 false
             }
             ReqDecision::Blocked | ReqDecision::Delayed => {
@@ -1215,18 +1082,6 @@ impl Engine {
                             file,
                             reason,
                         },
-                    },
-                });
-                self.fx(|| match kind {
-                    WaitKind::Blocked => Effect::Blocked {
-                        txn: id,
-                        step,
-                        file,
-                    },
-                    WaitKind::Delayed => Effect::Delayed {
-                        txn: id,
-                        step,
-                        file,
                     },
                 });
                 match pending_seq {
@@ -1343,6 +1198,7 @@ impl Engine {
                     kind: EventKind::FaultInjected {
                         node: Some(node.0),
                         what: "link-loss",
+                        dur: None,
                     },
                 });
                 deliver_at += link.redeliver_after;
@@ -1515,12 +1371,8 @@ impl Engine {
                 at: now,
                 kind: EventKind::Commit { txn: id },
             });
-            self.fx(|| Effect::Committed { txn: id });
             let rt_secs = now.since(txn.arrival).as_secs_f64();
             self.rt.push(rt_secs);
-            if let Some(h) = &mut self.rt_hist {
-                h.record(rt_secs);
-            }
             self.rt_log.record_secs(rt_secs);
             // Files the committed transaction touched (declared), even
             // if the scheduler held no lock on them (OPT): their
@@ -1556,9 +1408,8 @@ impl Engine {
         }
         self.tracer.emit(|| Rec {
             at: now,
-            kind: EventKind::Abort { txn: id },
+            kind: EventKind::Abort { txn: id, cause },
         });
-        self.fx(|| Effect::Aborted { txn: id, cause });
         let kills = if cause == AbortCause::Fault {
             let txn = self.txns.get_mut(id.0).expect("fault abort of unknown txn");
             txn.fault_kills += 1;
@@ -1605,7 +1456,6 @@ impl Engine {
                     attempts: kills,
                 },
             });
-            self.fx(|| Effect::Killed { txn: id });
             // Defensive: a killed transaction must not linger anywhere.
             self.pending.retain(|p| p.id != id);
         } else {
@@ -1620,16 +1470,10 @@ impl Engine {
         self.released_buf = released;
     }
 
-    /// Legacy entry point: abort with the scheduler cause.
-    fn restart_txn(&mut self, id: TxnId) {
-        self.abort_txn(id, AbortCause::Scheduler);
-    }
-
     // ----- fault injection --------------------------------------------
 
     fn on_fault(&mut self, action: FaultAction) {
         let now = self.now();
-        self.fx(|| Effect::Fault(action));
         match action {
             FaultAction::CrashNode { node } => {
                 self.tracer.emit(|| Rec {
@@ -1637,6 +1481,7 @@ impl Engine {
                     kind: EventKind::FaultInjected {
                         node: Some(node),
                         what: "dpn-crash",
+                        dur: None,
                     },
                 });
                 let n = node as usize;
@@ -1687,6 +1532,7 @@ impl Engine {
                     kind: EventKind::FaultInjected {
                         node: None,
                         what: "cn-stall",
+                        dur: Some(dur),
                     },
                 });
                 self.cn.stall_until(now + dur);
@@ -1817,9 +1663,9 @@ impl Engine {
 
     /// Capture the complete simulation state. Requires
     /// [`Engine::enable_checkpointing`] to have run before the first
-    /// event (the scheduler is captured as its op-log). The tracer and
-    /// effect buffer are *not* captured: both are observers, and a
-    /// restored engine starts with them off.
+    /// event (the scheduler is captured as its op-log). The tracer is
+    /// *not* captured: it is an observer, and a restored engine starts
+    /// with it off.
     ///
     /// # Panics
     /// Panics if checkpointing is not enabled.
@@ -1865,10 +1711,6 @@ impl Engine {
         txns.sort_by_key(|&(id, _)| id);
         let mut cohort_owner = self.cohort_owner.pairs();
         cohort_owner.sort_unstable();
-        let rt_hist = self
-            .rt_hist
-            .as_ref()
-            .map(|h| (h.width(), h.counts().to_vec(), h.overflow(), h.total()));
         let hist_state = |h: &LogHistogram| {
             let (counts, total, sum_ticks, min_ticks, max_ticks) = h.state();
             HistState {
@@ -1920,7 +1762,6 @@ impl Engine {
             cohort_owner,
             live: self.live,
             rt: self.rt,
-            rt_hist,
             arrived: self.arrived,
             started: self.started,
             completed: self.completed,
@@ -1965,7 +1806,7 @@ impl Engine {
     /// The restored engine continues byte-identically to the
     /// uninterrupted run. Checkpointing stays enabled (the op-log is
     /// carried over), so a snapshot of a restored run works too. The
-    /// tracer and effect buffer start off.
+    /// tracer starts off.
     ///
     /// # Panics
     /// Panics if `base` (with the snapshot's scheduler) does not match
@@ -2059,12 +1900,6 @@ impl Engine {
         }
         e.live = snap.live;
         e.rt = snap.rt;
-        e.rt_hist = snap
-            .rt_hist
-            .as_ref()
-            .map(|(width, counts, overflow, total)| {
-                Histogram::from_state(*width, counts.clone(), *overflow, *total)
-            });
         e.arrived = snap.arrived;
         e.started = snap.started;
         e.completed = snap.completed;

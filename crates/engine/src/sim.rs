@@ -1,61 +1,35 @@
-//! The historical batch-run simulator API: a thin adapter over
-//! [`Engine`].
+//! The historical batch-run simulator API.
 //!
 //! [`Simulator`] is what the drivers, experiments and tests have always
 //! used — build from a [`SimConfig`], run to the horizon, read the
-//! report. Since the engine refactor it owns no loop of its own: every
-//! method delegates to the single event loop in [`crate::engine`], so
-//! batch runs, incremental [`Engine::step`] runs and the `bds-serve`
-//! front all execute identical code.
+//! report. It is an alias of [`Engine`]: there is one event loop, and
+//! this module only adds the one-call batch runs.
 
 use crate::config::SimConfig;
 use crate::engine::Engine;
 use crate::metrics::SimReport;
-use bds_des::time::{Duration, SimTime};
-use bds_metrics::{LogHistogram, TimeSeries};
-use bds_sched::Scheduler;
+use bds_des::time::Duration;
+use bds_metrics::TimeSeries;
 use bds_trace::{TraceData, Tracer};
-use bds_wtpg::TxnId;
 
-/// The discrete-event simulator (adapter over [`Engine`]).
-pub struct Simulator {
-    engine: Engine,
-}
+/// The discrete-event simulator: the [`Engine`] under its historical
+/// name.
+pub type Simulator = Engine;
 
-impl Simulator {
-    /// Build a simulator from a configuration (workload taken from
-    /// `cfg.workload`).
-    pub fn new(cfg: &SimConfig) -> Self {
-        Simulator {
-            engine: Engine::new(cfg),
-        }
-    }
-
-    /// Build with an explicit workload generator (for custom workloads
-    /// beyond the paper's experiments).
-    pub fn with_generator(
-        cfg: &SimConfig,
-        genr: Box<dyn bds_workload::gen::WorkloadGen>,
-        arrival_rng: bds_des::rng::Xoshiro256,
-    ) -> Self {
-        Simulator {
-            engine: Engine::with_generator(cfg, genr, arrival_rng),
-        }
-    }
-
+impl Engine {
     /// Run to the horizon and report.
     pub fn run(cfg: &SimConfig) -> SimReport {
-        let mut sim = Simulator::new(cfg);
+        let mut sim = Engine::new(cfg);
         sim.run_to_horizon();
         sim.report()
     }
 
     /// Run with a ring-buffer tracer of the given capacity and return
     /// both the report and the captured trace. The report is
-    /// byte-identical to an untraced [`Simulator::run`] of the same
+    /// byte-identical to an untraced [`Engine::run`] of the same
     /// configuration — tracing only observes.
     pub fn run_traced(cfg: &SimConfig, capacity: usize) -> (SimReport, TraceData) {
-        let mut sim = Simulator::new(cfg);
+        let mut sim = Engine::new(cfg);
         sim.set_tracer(Tracer::ring(capacity));
         sim.run_to_horizon();
         let report = sim.report();
@@ -65,100 +39,15 @@ impl Simulator {
 
     /// Run with time-series sampling every `dt` of simulated time,
     /// returning the report and the sampled series. The report is
-    /// byte-identical to an unsampled [`Simulator::run`] of the same
+    /// byte-identical to an unsampled [`Engine::run`] of the same
     /// configuration — sampling only observes.
     pub fn run_with_metrics(cfg: &SimConfig, dt: Duration) -> (SimReport, TimeSeries) {
-        let mut sim = Simulator::new(cfg);
+        let mut sim = Engine::new(cfg);
         sim.set_metrics_interval(dt);
         sim.run_to_horizon();
         let report = sim.report();
         let series = sim.take_metrics().expect("sampler was installed");
         (report, series)
-    }
-
-    /// Install a tracer (replace any previous one). Call before
-    /// [`Simulator::run_to_horizon`] to capture the whole run.
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.engine.set_tracer(tracer);
-    }
-
-    /// Enable metrics sampling at the given simulated-time interval
-    /// (replace any previous sampler). Call before
-    /// [`Simulator::run_to_horizon`].
-    pub fn set_metrics_interval(&mut self, dt: Duration) {
-        self.engine.set_metrics_interval(dt);
-    }
-
-    /// Detach the sampler and return the series (`None` when sampling
-    /// was off).
-    pub fn take_metrics(&mut self) -> Option<TimeSeries> {
-        self.engine.take_metrics()
-    }
-
-    /// The log-bucketed response-time histogram over committed
-    /// transactions (exporters render its buckets directly).
-    pub fn rt_histogram(&self) -> &LogHistogram {
-        self.engine.rt_histogram()
-    }
-
-    /// Detach the tracer and return its captured data (`None` when
-    /// tracing was off).
-    pub fn take_trace(&mut self) -> Option<TraceData> {
-        self.engine.take_trace()
-    }
-
-    /// Drive the event loop until the horizon.
-    pub fn run_to_horizon(&mut self) {
-        self.engine.run_to_horizon();
-    }
-
-    /// Per-DPN downtime accumulated up to `at` (nodes still down are
-    /// charged through `at`).
-    pub fn node_downtime(&self, at: SimTime) -> Vec<Duration> {
-        self.engine.node_downtime(at)
-    }
-
-    /// Transactions arrived but neither committed nor killed yet.
-    pub fn in_flight(&self) -> u64 {
-        self.engine.in_flight()
-    }
-
-    /// Histogram of fault-kill attempt counts at permanent kill time.
-    pub fn retry_histogram(&self) -> &LogHistogram {
-        self.engine.retry_histogram()
-    }
-
-    /// Produce the report (call after [`Simulator::run_to_horizon`]).
-    pub fn report(&self) -> SimReport {
-        self.engine.report()
-    }
-
-    /// Replace the scheduler with a custom implementation (extension
-    /// point beyond the paper's six). Must be called before the first
-    /// event is processed.
-    ///
-    /// # Panics
-    /// Panics if the simulation has already started.
-    pub fn replace_scheduler(&mut self, scheduler: Box<dyn Scheduler>) {
-        self.engine.replace_scheduler(scheduler);
-    }
-
-    /// Drain the precedence constraints the scheduler observed — used by
-    /// the serializability audit in the integration tests.
-    pub fn drain_constraints(&mut self) -> Vec<(TxnId, TxnId)> {
-        self.engine.drain_constraints()
-    }
-
-    /// Access the scheduler (e.g. for downcasting to read statistics in
-    /// tests).
-    pub fn scheduler(&self) -> &dyn Scheduler {
-        self.engine.scheduler()
-    }
-
-    /// The underlying engine, for incremental driving (stepping,
-    /// checkpointing, hot-swap) of a simulator built through this API.
-    pub fn engine_mut(&mut self) -> &mut Engine {
-        &mut self.engine
     }
 }
 
@@ -166,8 +55,9 @@ impl Simulator {
 mod tests {
     use super::*;
     use crate::config::WorkloadKind;
-    use bds_des::time::Duration;
+    use bds_des::time::SimTime;
     use bds_sched::SchedulerKind;
+    use bds_trace::EventKind;
 
     fn cfg(kind: SchedulerKind) -> SimConfig {
         let mut c = SimConfig::new(kind, WorkloadKind::Exp1 { num_files: 16 });
@@ -263,22 +153,65 @@ mod tests {
     }
 
     #[test]
-    fn engine_step_matches_bulk_run() {
-        // Driving the engine one event at a time produces the identical
-        // report to the bulk run — there is only one event loop.
-        let c = cfg(SchedulerKind::Gow).with_lambda(0.6);
-        let bulk = Simulator::run(&c);
-        let mut e = Engine::new(&c);
-        e.enable_effects();
-        let mut steps = 0u64;
-        let mut effects = 0usize;
-        while let Some(se) = e.step() {
-            steps += 1;
-            effects += se.effects.len();
+    fn step_records_match_trace_records() {
+        // Stepping with a tap yields exactly the records a ring tracer
+        // captures over the bulk run, and the same report: one event
+        // loop, one event vocabulary. The faulted plan adds crashes,
+        // recoveries, a CN stall and link losses.
+        let faulted = cfg(SchedulerKind::C2pl).with_lambda(0.6).with_faults(
+            bds_fault::FaultPlan::parse("crash=1@40x20,stall=60x5,loss=25,retry=1000:8000:2")
+                .expect("plan parses"),
+        );
+        let cases = [
+            (cfg(SchedulerKind::Gow).with_lambda(0.6), None),
+            (cfg(SchedulerKind::Opt).with_lambda(0.6), Some("validation")),
+            (cfg(SchedulerKind::Wdl).with_lambda(0.6), Some("scheduler")),
+            (faulted, Some("fault")),
+        ];
+        for (c, cause) in cases {
+            let label = c.scheduler.label();
+            let bulk = Simulator::run(&c);
+            let (traced, ring) = Simulator::run_traced(&c, 1 << 22);
+            assert_eq!(traced, bulk, "{label}: tracing perturbed the run");
+            assert_eq!(ring.dropped, 0, "{label}: ring wrapped");
+            let mut e = Engine::new(&c);
+            let mut recs = Vec::new();
+            let mut steps = 0u64;
+            while e.step_into(&mut recs).is_some() {
+                steps += 1;
+            }
+            assert_eq!(e.report(), bulk, "{label}: stepped report differs");
+            assert_eq!(steps, bulk.events, "{label}: step count");
+            assert!(recs == ring.records, "{label}: step records differ");
+            if let Some(cause) = cause {
+                let n = recs
+                    .iter()
+                    .filter(|r| matches!(r.kind, EventKind::Abort { cause: c, .. } if c.name() == cause))
+                    .count();
+                assert!(n > 0, "{label}: no {cause} aborts to compare");
+            }
+            if c.faults.is_empty() {
+                continue;
+            }
+            for name in ["fault_injected", "node_recovered"] {
+                assert!(
+                    recs.iter().any(|r| r.kind.name() == name),
+                    "{label}: no {name} record"
+                );
+            }
         }
-        assert_eq!(e.report(), bulk);
-        assert_eq!(steps, bulk.events);
-        assert!(effects > 0, "a loaded run must produce effects");
+    }
+
+    #[test]
+    fn step_into_forwards_to_an_installed_tracer() {
+        let c = cfg(SchedulerKind::Gow).with_lambda(0.6);
+        let mut e = Engine::new(&c);
+        e.set_tracer(Tracer::ring(1 << 20));
+        let mut recs = Vec::new();
+        while e.step_into(&mut recs).is_some() {}
+        let data = e.take_trace().expect("ring tracer was installed");
+        assert!(!recs.is_empty());
+        assert!(data.records == recs, "the ring missed stepped records");
     }
 
     #[test]

@@ -108,7 +108,6 @@ pub struct Snapshot {
     pub(crate) cohort_owner: Vec<(u64, u64)>,
     pub(crate) live: TimeWeighted,
     pub(crate) rt: Welford,
-    pub(crate) rt_hist: Option<(f64, Vec<u64>, u64, u64)>,
     pub(crate) arrived: u64,
     pub(crate) started: u64,
     pub(crate) completed: u64,
@@ -737,17 +736,6 @@ impl Snapshot {
         o.raw("owner", &owner.finish());
         o.raw("live", &enc_tw(&self.live));
         o.raw("rt", &enc_welford(&self.rt));
-        match &self.rt_hist {
-            Some((width, counts, overflow, total)) => {
-                let mut oh = JsonObj::new();
-                oh.str("w", &fb(*width));
-                oh.raw("counts", &arr_u64(counts.iter().copied()));
-                oh.str("of", &overflow.to_string());
-                oh.str("tot", &total.to_string());
-                o.raw("rth", &oh.finish());
-            }
-            None => o.raw("rth", "null"),
-        }
         o.str("arrived", &self.arrived.to_string());
         o.str("started", &self.started.to_string());
         o.str("completed", &self.completed.to_string());
@@ -904,15 +892,6 @@ impl Snapshot {
                 Ok((p_u64(&a[0])?, p_u64(&a[1])?))
             })
             .collect::<Result<Vec<_>, _>>()?;
-        let rt_hist = match field(&v, "rth")? {
-            JsonValue::Null => None,
-            h => Some((
-                p_f64(field(h, "w")?)?,
-                dec_u64_vec(field(h, "counts")?)?,
-                g_u64(h, "of")?,
-                g_u64(h, "tot")?,
-            )),
-        };
         let down_since = p_arr(field(&v, "dsince")?)?
             .iter()
             .map(|s| -> Result<Option<SimTime>, String> {
@@ -970,7 +949,6 @@ impl Snapshot {
             cohort_owner,
             live: dec_tw(field(&v, "live")?)?,
             rt: dec_welford(field(&v, "rt")?)?,
-            rt_hist,
             arrived: g_u64(&v, "arrived")?,
             started: g_u64(&v, "started")?,
             completed: g_u64(&v, "completed")?,

@@ -132,18 +132,30 @@ fn session_with_snapshot_swap_and_restore() {
 
     let r = s.send(r#"{"cmd":"run-until","t_ms":60000}"#);
     assert!(num(&r, "events") > 0);
-    assert!(num(&r, "now_ms") <= 60_000);
+    let until_ms = num(&r, "now_ms");
+    assert!(until_ms <= 60_000);
 
-    // Single-stepping reports effects.
+    // Single-stepping reports the trace records of the stepped events,
+    // none older than where run-until stopped.
     let r = s.send(r#"{"cmd":"step","n":25}"#);
     assert_eq!(num(&r, "events"), 25);
     let effects = r
         .get("effects")
         .and_then(JsonValue::as_arr)
         .expect("effects");
+    for rec in effects {
+        assert!(
+            num(rec, "at_ms") >= until_ms,
+            "record {rec:?} predates run-until's now_ms {until_ms}"
+        );
+    }
+    let commit = effects
+        .iter()
+        .find(|rec| rec.get("e").and_then(JsonValue::as_str) == Some("commit"))
+        .expect("25 mid-run events must include a commit");
     assert!(
-        !effects.is_empty(),
-        "25 mid-run events must produce effects"
+        num(commit, "txn") > 0,
+        "commit record without txn: {commit:?}"
     );
 
     let snap = s.send(&format!(r#"{{"cmd":"snapshot","path":"{ckpt_str}"}}"#));

@@ -225,7 +225,7 @@ impl Analysis {
                     a.att_wait = Duration::ZERO;
                     a.att_exec = Duration::ZERO;
                 }
-                EventKind::Abort { txn } => {
+                EventKind::Abort { txn, .. } => {
                     let a = acc_of(&mut accs, txn, at);
                     // Close any open intervals into the discarded attempt.
                     if let Some((t0, _)) = a.wait_since.take() {
@@ -431,8 +431,8 @@ impl Analysis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::Rec;
-    use crate::sink::{RingRecorder, TraceSink};
+    use crate::event::{AbortCause, Rec};
+    use crate::sink::RingRecorder;
 
     fn t(i: u64) -> TxnId {
         TxnId(i)
@@ -499,7 +499,13 @@ mod tests {
                     to: t(2),
                 },
             ),
-            rec(40, EventKind::Abort { txn: t(2) }),
+            rec(
+                40,
+                EventKind::Abort {
+                    txn: t(2),
+                    cause: AbortCause::Scheduler,
+                },
+            ),
             rec(
                 50,
                 EventKind::LockGrant {

@@ -90,86 +90,32 @@ pub fn chrome_trace(data: &TraceData) -> String {
 
     for rec in &data.records {
         let at = rec.at;
+        let name = rec.kind.name();
+        let tid = tid_of(rec.kind.txn());
         match rec.kind {
-            EventKind::Arrival { txn } => {
-                events.raw(&instant("arrival", CN_PID, tid_of(Some(txn)), at, ""));
-            }
-            EventKind::Admit { txn } => {
-                events.raw(&instant("admit", CN_PID, tid_of(Some(txn)), at, ""));
-            }
-            EventKind::AdmitRefuse { txn, reason } => {
+            EventKind::Arrival { .. }
+            | EventKind::Admit { .. }
+            | EventKind::Commit { .. }
+            | EventKind::Restart { .. } => events.raw(&instant(name, CN_PID, tid, at, "")),
+            EventKind::AdmitRefuse { reason, .. } => {
                 let mut a = JsonObj::new();
                 a.str("reason", reason);
-                events.raw(&instant(
-                    "admit_refuse",
-                    CN_PID,
-                    tid_of(Some(txn)),
-                    at,
-                    &a.finish(),
-                ));
+                events.raw(&instant(name, CN_PID, tid, at, &a.finish()));
             }
-            EventKind::LockRequest { txn, file, .. } => {
-                events.raw(&instant(
-                    "lock_request",
-                    CN_PID,
-                    tid_of(Some(txn)),
-                    at,
-                    &file_args(file.0, None),
-                ));
+            EventKind::LockRequest { file, .. } | EventKind::LockGrant { file, .. } => {
+                events.raw(&instant(name, CN_PID, tid, at, &file_args(file.0, None)));
             }
-            EventKind::LockGrant { txn, file, .. } => {
-                events.raw(&instant(
-                    "lock_grant",
-                    CN_PID,
-                    tid_of(Some(txn)),
-                    at,
-                    &file_args(file.0, None),
-                ));
-            }
-            EventKind::LockBlock {
-                txn, file, reason, ..
-            } => {
-                events.raw(&instant(
-                    "lock_block",
-                    CN_PID,
-                    tid_of(Some(txn)),
-                    at,
-                    &file_args(file.0, Some(reason)),
-                ));
-            }
-            EventKind::LockDeny {
-                txn, file, reason, ..
-            } => {
-                events.raw(&instant(
-                    "lock_deny",
-                    CN_PID,
-                    tid_of(Some(txn)),
-                    at,
-                    &file_args(file.0, Some(reason)),
-                ));
-            }
-            EventKind::LockRestart {
-                txn, file, reason, ..
-            } => {
-                events.raw(&instant(
-                    "lock_restart",
-                    CN_PID,
-                    tid_of(Some(txn)),
-                    at,
-                    &file_args(file.0, Some(reason)),
-                ));
+            EventKind::LockBlock { file, reason, .. }
+            | EventKind::LockDeny { file, reason, .. }
+            | EventKind::LockRestart { file, reason, .. } => {
+                let args = file_args(file.0, Some(reason));
+                events.raw(&instant(name, CN_PID, tid, at, &args));
             }
             EventKind::WtpgEdge { from, to } => {
                 let mut a = JsonObj::new();
                 a.int("from", from.0);
                 a.int("to", to.0);
-                events.raw(&instant(
-                    "wtpg_edge",
-                    CN_PID,
-                    tid_of(Some(to)),
-                    at,
-                    &a.finish(),
-                ));
+                events.raw(&instant(name, CN_PID, tid_of(Some(to)), at, &a.finish()));
             }
             EventKind::StepDispatch { txn, step } => {
                 open_steps.insert(txn, (step, at));
@@ -179,55 +125,31 @@ pub fn chrome_trace(data: &TraceData) -> String {
                     if s0 == step {
                         let mut a = JsonObj::new();
                         a.int("step", u64::from(step));
-                        events.raw(&complete(
-                            "step",
-                            CN_PID,
-                            tid_of(Some(txn)),
-                            t0,
-                            at,
-                            &a.finish(),
-                        ));
+                        events.raw(&complete("step", CN_PID, tid, t0, at, &a.finish()));
                     }
                 }
             }
             EventKind::CohortStart { .. } | EventKind::CohortFinish { .. } => {
                 // Covered by the quantum spans on the DPN tracks.
             }
-            EventKind::Quantum { txn, node, start } => {
+            EventKind::Quantum { node, start, .. } => {
                 dpn_pids.insert(node);
-                events.raw(&complete(
-                    "quantum",
-                    dpn_pid(node),
-                    tid_of(Some(txn)),
-                    start,
-                    at,
-                    "",
-                ));
+                events.raw(&complete(name, dpn_pid(node), tid, start, at, ""));
             }
-            EventKind::CnCpu { txn, what, start } => {
-                events.raw(&complete(what, CN_PID, tid_of(txn), start, at, ""));
+            EventKind::CnCpu { what, start, .. } => {
+                events.raw(&complete(what, CN_PID, tid, start, at, ""));
             }
-            EventKind::Certify { txn, ok } => {
+            EventKind::Certify { ok, .. } => {
                 let mut a = JsonObj::new();
                 a.bool("ok", ok);
-                events.raw(&instant(
-                    "certify",
-                    CN_PID,
-                    tid_of(Some(txn)),
-                    at,
-                    &a.finish(),
-                ));
+                events.raw(&instant(name, CN_PID, tid, at, &a.finish()));
             }
-            EventKind::Commit { txn } => {
-                events.raw(&instant("commit", CN_PID, tid_of(Some(txn)), at, ""));
+            EventKind::Abort { cause, .. } => {
+                let mut a = JsonObj::new();
+                a.str("cause", cause.name());
+                events.raw(&instant(name, CN_PID, tid, at, &a.finish()));
             }
-            EventKind::Abort { txn } => {
-                events.raw(&instant("abort", CN_PID, tid_of(Some(txn)), at, ""));
-            }
-            EventKind::Restart { txn } => {
-                events.raw(&instant("restart", CN_PID, tid_of(Some(txn)), at, ""));
-            }
-            EventKind::FaultInjected { node, what } => {
+            EventKind::FaultInjected { node, what, .. } => {
                 let mut a = JsonObj::new();
                 a.str("what", what);
                 let pid = match node {
@@ -237,22 +159,16 @@ pub fn chrome_trace(data: &TraceData) -> String {
                     }
                     None => CN_PID,
                 };
-                events.raw(&instant("fault_injected", pid, 0, at, &a.finish()));
+                events.raw(&instant(name, pid, tid, at, &a.finish()));
             }
-            EventKind::TxnKilled { txn, attempts } => {
+            EventKind::TxnKilled { attempts, .. } => {
                 let mut a = JsonObj::new();
                 a.int("attempts", u64::from(attempts));
-                events.raw(&instant(
-                    "txn_killed",
-                    CN_PID,
-                    tid_of(Some(txn)),
-                    at,
-                    &a.finish(),
-                ));
+                events.raw(&instant(name, CN_PID, tid, at, &a.finish()));
             }
             EventKind::NodeRecovered { node } => {
                 dpn_pids.insert(node);
-                events.raw(&instant("node_recovered", dpn_pid(node), 0, at, ""));
+                events.raw(&instant(name, dpn_pid(node), tid, at, ""));
             }
         }
     }
@@ -272,7 +188,7 @@ pub fn chrome_trace(data: &TraceData) -> String {
 mod tests {
     use super::*;
     use crate::event::Rec;
-    use crate::sink::{RingRecorder, TraceSink};
+    use crate::sink::RingRecorder;
     use bds_workload::FileId;
 
     fn rec(ms: u64, kind: EventKind) -> Rec {

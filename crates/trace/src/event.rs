@@ -8,7 +8,8 @@
 //! C2PL's `"predicted-deadlock"`, LOW's `"E(q)>E(p)"`, GOW's
 //! `"critical-path"`), so analyzers can attribute denied time to policy.
 
-use bds_des::time::SimTime;
+use crate::json::JsonObj;
+use bds_des::time::{Duration, SimTime};
 use bds_workload::FileId;
 use bds_wtpg::TxnId;
 
@@ -22,6 +23,28 @@ pub struct Rec {
     pub at: SimTime,
     /// What happened.
     pub kind: EventKind,
+}
+
+/// Why a transaction attempt was aborted.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AbortCause {
+    /// OPT certification failed at commit.
+    Validation,
+    /// The scheduler ordered a restart (restart-oriented protocols).
+    Scheduler,
+    /// An injected fault (DPN crash) destroyed the attempt's cohorts.
+    Fault,
+}
+
+impl AbortCause {
+    /// Short static name (`"validation"`, `"scheduler"`, `"fault"`).
+    pub fn name(self) -> &'static str {
+        match self {
+            AbortCause::Validation => "validation",
+            AbortCause::Scheduler => "scheduler",
+            AbortCause::Fault => "fault",
+        }
+    }
 }
 
 /// The payload of a trace record.
@@ -174,6 +197,8 @@ pub enum EventKind {
     Abort {
         /// The aborted transaction.
         txn: TxnId,
+        /// Why the attempt died.
+        cause: AbortCause,
     },
     /// The transaction re-entered the start queue after its restart
     /// delay.
@@ -188,6 +213,9 @@ pub enum EventKind {
         node: Option<u32>,
         /// What happened (`"dpn-crash"`, `"cn-stall"`, `"link-loss"`).
         what: &'static str,
+        /// How long the fault lasts, when the action says so (CN
+        /// stalls).
+        dur: Option<Duration>,
     },
     /// A transaction was dropped permanently after exhausting its
     /// fault-retry budget.
@@ -251,7 +279,7 @@ impl EventKind {
             | EventKind::Quantum { txn, .. }
             | EventKind::Certify { txn, .. }
             | EventKind::Commit { txn }
-            | EventKind::Abort { txn }
+            | EventKind::Abort { txn, .. }
             | EventKind::Restart { txn }
             | EventKind::TxnKilled { txn, .. } => Some(txn),
             EventKind::CnCpu { txn, .. } => txn,
@@ -259,6 +287,77 @@ impl EventKind {
             | EventKind::FaultInjected { .. }
             | EventKind::NodeRecovered { .. } => None,
         }
+    }
+}
+
+impl Rec {
+    /// Render as one flat JSON object: `{"e": <kind name>, "at_ms", …}`
+    /// followed by the payload's fields (times as `*_ms`).
+    pub fn to_json(&self) -> String {
+        let mut o = JsonObj::new();
+        o.str("e", self.kind.name());
+        o.int("at_ms", self.at.as_millis());
+        if let Some(txn) = self.kind.txn() {
+            o.int("txn", txn.0);
+        }
+        match self.kind {
+            EventKind::Arrival { .. }
+            | EventKind::Admit { .. }
+            | EventKind::Commit { .. }
+            | EventKind::Restart { .. } => {}
+            EventKind::AdmitRefuse { reason, .. } => o.str("reason", reason),
+            EventKind::LockRequest { step, file, .. } | EventKind::LockGrant { step, file, .. } => {
+                o.int("step", u64::from(step));
+                o.int("file", u64::from(file.0));
+            }
+            EventKind::LockBlock {
+                step, file, reason, ..
+            }
+            | EventKind::LockDeny {
+                step, file, reason, ..
+            }
+            | EventKind::LockRestart {
+                step, file, reason, ..
+            } => {
+                o.int("step", u64::from(step));
+                o.int("file", u64::from(file.0));
+                o.str("reason", reason);
+            }
+            EventKind::WtpgEdge { from, to } => {
+                o.int("from", from.0);
+                o.int("to", to.0);
+            }
+            EventKind::StepDispatch { step, .. } | EventKind::StepDone { step, .. } => {
+                o.int("step", u64::from(step));
+            }
+            EventKind::CohortStart { step, node, .. }
+            | EventKind::CohortFinish { step, node, .. } => {
+                o.int("step", u64::from(step));
+                o.int("node", u64::from(node));
+            }
+            EventKind::Quantum { node, start, .. } => {
+                o.int("node", u64::from(node));
+                o.int("start_ms", start.as_millis());
+            }
+            EventKind::CnCpu { what, start, .. } => {
+                o.str("what", what);
+                o.int("start_ms", start.as_millis());
+            }
+            EventKind::Certify { ok, .. } => o.bool("ok", ok),
+            EventKind::Abort { cause, .. } => o.str("cause", cause.name()),
+            EventKind::FaultInjected { node, what, dur } => {
+                if let Some(n) = node {
+                    o.int("node", u64::from(n));
+                }
+                o.str("what", what);
+                if let Some(d) = dur {
+                    o.int("dur_ms", d.as_millis());
+                }
+            }
+            EventKind::TxnKilled { attempts, .. } => o.int("attempts", u64::from(attempts)),
+            EventKind::NodeRecovered { node } => o.int("node", u64::from(node)),
+        }
+        o.finish()
     }
 }
 
@@ -283,5 +382,32 @@ mod tests {
         };
         assert_eq!(c.txn(), None);
         assert_eq!(c.name(), "cn_cpu");
+    }
+
+    #[test]
+    fn records_render_as_flat_json() {
+        let abort = Rec {
+            at: SimTime::from_millis(1500),
+            kind: EventKind::Abort {
+                txn: TxnId(3),
+                cause: AbortCause::Validation,
+            },
+        };
+        assert_eq!(
+            abort.to_json(),
+            r#"{"e":"abort","at_ms":1500,"txn":3,"cause":"validation"}"#
+        );
+        let stall = Rec {
+            at: SimTime::from_millis(20),
+            kind: EventKind::FaultInjected {
+                node: None,
+                what: "cn-stall",
+                dur: Some(Duration::from_millis(250)),
+            },
+        };
+        assert_eq!(
+            stall.to_json(),
+            r#"{"e":"fault_injected","at_ms":20,"what":"cn-stall","dur_ms":250}"#
+        );
     }
 }

@@ -1,29 +1,16 @@
 //! Trace sinks: where events go.
 //!
 //! The simulator emits events through a [`Tracer`], an enum over "off"
-//! and "recording" so the disabled path is a single branch — the event
-//! is never even constructed (emission takes a closure) and there is no
-//! `dyn` call per event. The recording arm is a bounded in-memory ring
-//! ([`RingRecorder`]): when full, the oldest records are overwritten but
-//! the monotone [`Counts`] stay exact, so accounting cross-checks remain
-//! valid even for runs longer than the ring.
+//! and two recording arms so the disabled path is a single branch — the
+//! event is never even constructed (emission takes a closure) and there
+//! is no `dyn` call per event. The long-lived recording arm is a bounded
+//! in-memory ring ([`RingRecorder`]): when full, the oldest records are
+//! overwritten but the monotone [`Counts`] stay exact, so accounting
+//! cross-checks remain valid even for runs longer than the ring. The
+//! other arm, [`Tracer::Tap`], is an unbounded buffer meant to live for
+//! one engine step.
 
 use crate::event::{EventKind, Rec};
-
-/// A destination for trace records.
-pub trait TraceSink {
-    /// Record one event.
-    fn record(&mut self, rec: Rec);
-}
-
-/// A sink that discards everything; `record` compiles to a no-op.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    #[inline(always)]
-    fn record(&mut self, _rec: Rec) {}
-}
 
 /// Monotone event counters, exact even when the ring wraps.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -104,6 +91,15 @@ impl Counts {
             + self.node_recoveries
     }
 
+    /// Exact counters over `records`.
+    pub fn of(records: &[Rec]) -> Counts {
+        let mut c = Counts::default();
+        for r in records {
+            c.bump(&r.kind);
+        }
+        c
+    }
+
     fn bump(&mut self, kind: &EventKind) {
         match kind {
             EventKind::Arrival { .. } => self.arrivals += 1,
@@ -182,6 +178,18 @@ impl RingRecorder {
         self.counts
     }
 
+    /// Record one event, overwriting the oldest when full.
+    pub fn record(&mut self, rec: Rec) {
+        self.counts.bump(&rec.kind);
+        if self.buf.len() < self.cap {
+            self.buf.push(rec);
+        } else {
+            self.buf[self.head] = rec;
+            self.head = (self.head + 1) % self.cap;
+            self.dropped += 1;
+        }
+    }
+
     /// Consume the recorder, yielding the retained records in
     /// chronological order plus the exact counters.
     pub fn into_data(mut self) -> TraceData {
@@ -193,19 +201,6 @@ impl RingRecorder {
             records: self.buf,
             counts: self.counts,
             dropped: self.dropped,
-        }
-    }
-}
-
-impl TraceSink for RingRecorder {
-    fn record(&mut self, rec: Rec) {
-        self.counts.bump(&rec.kind);
-        if self.buf.len() < self.cap {
-            self.buf.push(rec);
-        } else {
-            self.buf[self.head] = rec;
-            self.head = (self.head + 1) % self.cap;
-            self.dropped += 1;
         }
     }
 }
@@ -222,7 +217,7 @@ pub struct TraceData {
 }
 
 /// The simulator-facing tracing handle: enum dispatch over "off" and
-/// "recording", so the disabled hot path is one branch and zero
+/// the recording arms, so the disabled hot path is one branch and zero
 /// construction work.
 #[derive(Debug, Default)]
 pub enum Tracer {
@@ -231,6 +226,10 @@ pub enum Tracer {
     Off,
     /// Record into a bounded in-memory ring.
     Ring(Box<RingRecorder>),
+    /// Append every record to a plain, unbounded buffer. The engine
+    /// installs one for the duration of a single step; a long run would
+    /// grow it without bound.
+    Tap(Vec<Rec>),
 }
 
 impl Tracer {
@@ -253,8 +252,10 @@ impl Tracer {
     /// callers pay a single predictable branch when it is off.
     #[inline(always)]
     pub fn emit(&mut self, make: impl FnOnce() -> Rec) {
-        if let Tracer::Ring(r) = self {
-            r.record(make());
+        match self {
+            Tracer::Off => {}
+            Tracer::Ring(r) => r.record(make()),
+            Tracer::Tap(buf) => buf.push(make()),
         }
     }
 
@@ -263,6 +264,7 @@ impl Tracer {
         match self {
             Tracer::Off => None,
             Tracer::Ring(r) => Some(r.counts()),
+            Tracer::Tap(buf) => Some(Counts::of(buf)),
         }
     }
 
@@ -271,6 +273,11 @@ impl Tracer {
         match self {
             Tracer::Off => None,
             Tracer::Ring(r) => Some(r.into_data()),
+            Tracer::Tap(records) => Some(TraceData {
+                counts: Counts::of(&records),
+                records,
+                dropped: 0,
+            }),
         }
     }
 }
@@ -333,8 +340,15 @@ mod tests {
     }
 
     #[test]
-    fn null_sink_discards() {
-        let mut s = NullSink;
-        s.record(rec(1, EventKind::Commit { txn: TxnId(1) }));
+    fn tap_keeps_everything() {
+        let mut t = Tracer::Tap(Vec::new());
+        assert!(t.enabled());
+        for i in 0..5u64 {
+            t.emit(|| rec(i, EventKind::Commit { txn: TxnId(i) }));
+        }
+        let data = t.finish().unwrap();
+        assert_eq!(data.records.len(), 5);
+        assert_eq!(data.counts.commits, 5);
+        assert_eq!(data.dropped, 0);
     }
 }

@@ -8,6 +8,7 @@ use batchsched::des::Duration;
 use batchsched::fault::FaultPlan;
 use batchsched::sched::SchedulerKind;
 use batchsched::sim::Simulator;
+use batchsched::trace::{AbortCause, EventKind, Tracer};
 
 fn cfg(kind: SchedulerKind, lambda: f64, plan: &str) -> SimConfig {
     let mut c = SimConfig::new(kind, WorkloadKind::Exp1 { num_files: 16 });
@@ -21,9 +22,36 @@ fn cfg(kind: SchedulerKind, lambda: f64, plan: &str) -> SimConfig {
 fn check(kind: SchedulerKind, lambda: f64, plan: &str) {
     let c = cfg(kind, lambda, plan);
     let mut sim = Simulator::new(&c);
+    sim.set_tracer(Tracer::ring(1 << 20));
     sim.run_to_horizon();
     let r = sim.report();
     let ctx = format!("{kind} λ={lambda} plan={plan:?}");
+    // The trace's `abort` records, counted by cause, reproduce the
+    // report's per-cause counters.
+    let trace = sim.take_trace().expect("ring tracer was installed");
+    assert_eq!(trace.dropped, 0, "{ctx}: ring overflowed");
+    let count = |cause: AbortCause| {
+        trace
+            .records
+            .iter()
+            .filter(|rec| matches!(rec.kind, EventKind::Abort { cause: c, .. } if c == cause))
+            .count() as u64
+    };
+    assert_eq!(
+        count(AbortCause::Validation),
+        r.aborts_validation,
+        "{ctx}: validation aborts"
+    );
+    assert_eq!(
+        count(AbortCause::Scheduler),
+        r.aborts_scheduler,
+        "{ctx}: scheduler aborts"
+    );
+    assert_eq!(
+        count(AbortCause::Fault),
+        r.aborts_fault,
+        "{ctx}: fault aborts"
+    );
     // Conservation: every arrival is committed, permanently killed, or
     // still tracked (queued, executing, or awaiting restart).
     assert_eq!(

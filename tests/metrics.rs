@@ -11,43 +11,34 @@ fn light_load_cfg() -> SimConfig {
     let mut c = SimConfig::new(SchedulerKind::Nodc, WorkloadKind::Exp1 { num_files: 16 });
     // Light load: transactions barely queue, so every response time sits
     // near the 7.2 s total scan demand of Pattern 1 — squarely inside
-    // one 1-second bucket of the legacy histogram.
+    // one 1-second bin, where a fixed-width histogram would report the
+    // 7.5 s midpoint.
     c.lambda_tps = 0.02;
     c.horizon = Duration::from_secs(2_000);
     c
 }
 
-/// Regression test for the percentile-resolution bug: the legacy
-/// 1-second-bin histogram snapped `rt_p50/p90/p99` to bucket midpoints
-/// (7.5 s for anything in [7, 8)), erasing sub-second differences. The
+/// Regression test for the percentile-resolution bug: a 1-second-bin
+/// histogram snapped `rt_p50/p90/p99` to bucket midpoints (7.5 s for
+/// anything in [7, 8)), erasing sub-second differences. The
 /// log-bucketed engine must resolve the actual ≈ 7.2 s value.
 #[test]
 fn percentiles_have_sub_second_resolution() {
-    let cfg = light_load_cfg();
-    let new = Simulator::run(&cfg);
-    let legacy = Simulator::run(&cfg.clone().with_legacy_percentiles(true));
-
-    // Identical runs aside from the percentile engine.
-    assert_eq!(new.completed, legacy.completed);
-    assert_eq!(new.mean_rt_secs(), legacy.mean_rt_secs());
-
-    let p50_legacy = legacy.rt_p50_secs.unwrap();
-    let p50_new = new.rt_p50_secs.unwrap();
-    // The legacy engine can only say "7.5": the bucket midpoint.
-    assert_eq!(p50_legacy, 7.5, "legacy bin midpoint");
-    // The new engine must agree with the exact mean to well under the
-    // legacy bucket width — the response times cluster at ≈ 7.2 s.
-    let mean = new.mean_rt_secs();
+    let r = Simulator::run(&light_load_cfg());
+    let p50 = r.rt_p50_secs.unwrap();
+    // The p50 must agree with the exact mean to well under one second:
+    // the response times cluster at ≈ 7.2 s.
+    let mean = r.mean_rt_secs();
     assert!(
-        (p50_new - mean).abs() < 0.1,
-        "p50 {p50_new} should sit near the ≈ {mean} s cluster"
+        (p50 - mean).abs() < 0.1,
+        "p50 {p50} should sit near the ≈ {mean} s cluster"
     );
     assert!(
-        (p50_new - p50_legacy).abs() > 0.2,
-        "new p50 {p50_new} must not be quantized to the legacy midpoint"
+        (p50 - 7.5).abs() > 0.2,
+        "p50 {p50} must not be quantized to the 7.5 s bin midpoint"
     );
-    // The new p90 is also off the legacy half-second grid.
-    let p90 = new.rt_p90_secs.unwrap();
+    // The p90 is also off the half-second grid.
+    let p90 = r.rt_p90_secs.unwrap();
     assert!(
         (p90 * 2.0 - (p90 * 2.0).round()).abs() > 1e-3,
         "p90 {p90} looks quantized to a half-second midpoint"

@@ -5,8 +5,9 @@
 
 use batchsched::config::{SimConfig, WorkloadKind};
 use batchsched::des::Duration;
+use batchsched::metrics::SimReport;
 use batchsched::sim::Simulator;
-use batchsched::trace::{chrome_trace, Analysis};
+use batchsched::trace::{chrome_trace, AbortCause, Analysis, EventKind, TraceData};
 use bds_sched::SchedulerKind;
 
 /// A moderately contended Exp-1 point: enough blocking, delays and (for
@@ -20,6 +21,32 @@ fn cfg(kind: SchedulerKind) -> SimConfig {
 
 const CAPACITY: usize = 1 << 20;
 
+/// The trace's `abort` records, counted by cause, must equal the
+/// report's per-cause abort counters.
+fn assert_abort_causes_match(data: &TraceData, r: &SimReport, ctx: &str) {
+    let count = |cause: AbortCause| {
+        data.records
+            .iter()
+            .filter(|rec| matches!(rec.kind, EventKind::Abort { cause: c, .. } if c == cause))
+            .count() as u64
+    };
+    assert_eq!(
+        count(AbortCause::Validation),
+        r.aborts_validation,
+        "{ctx}: validation aborts"
+    );
+    assert_eq!(
+        count(AbortCause::Scheduler),
+        r.aborts_scheduler,
+        "{ctx}: scheduler aborts"
+    );
+    assert_eq!(
+        count(AbortCause::Fault),
+        r.aborts_fault,
+        "{ctx}: fault aborts"
+    );
+}
+
 #[test]
 fn counters_reconcile_with_report_for_paper_set() {
     for kind in SchedulerKind::PAPER_SET {
@@ -30,6 +57,7 @@ fn counters_reconcile_with_report_for_paper_set() {
         assert_eq!(n.arrivals, r.arrived, "{kind}: arrivals");
         assert_eq!(n.commits, r.completed, "{kind}: commits");
         assert_eq!(n.aborts, r.restarts, "{kind}: aborts");
+        assert_abort_causes_match(&data, &r, &kind.to_string());
         assert_eq!(n.lock_requests, r.lock_requests, "{kind}: lock requests");
         assert_eq!(
             n.lock_blocks + n.lock_denies,
@@ -69,6 +97,8 @@ fn wdl_restart_counters_balance() {
     // failures never happen.
     assert_eq!(n.certify_fail, 0);
     assert_eq!(n.aborts, r.restarts);
+    assert!(r.aborts_scheduler > 0);
+    assert_abort_causes_match(&data, &r, "WDL");
 }
 
 #[test]
