@@ -23,8 +23,9 @@
 //!   wait-depth-limited extension scheduler.
 //! * [`telemetry`] (the `bds-metrics` crate) — sim-time series sampling
 //!   ([`sim::Simulator::run_with_metrics`]), the log-bucketed
-//!   response-time histogram behind `rt_p50/p90/p99`, Prometheus/CSV/
-//!   JSON exporters, and the `benchdiff` bench regression gate.
+//!   response-time histogram behind `rt_p50/p90/p99`, and Prometheus/
+//!   CSV/JSON exporters. Host cost is measured by the repository
+//!   benchmark, `perfbench/` (driven by `BENCHMARK.json`).
 //!
 //! ## Quickstart
 //!

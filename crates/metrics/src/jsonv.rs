@@ -2,9 +2,8 @@
 //!
 //! The workspace carries no external serialization dependency; the
 //! hand-rolled *writers* live in `bds-trace::json`. This module adds the
-//! *reader* side, needed by `benchdiff` to compare `BENCH_*.json` files
-//! and by `repro` to print its delta against the committed baseline.
-//! It parses the JSON the workspace itself emits (plus standard escapes
+//! *reader* side, needed by the snapshot decoder (`bds-engine`) to load
+//! checkpoint files. It parses the JSON the workspace itself emits (plus standard escapes
 //! and nesting); numbers are `f64`, like every JSON consumer we target.
 
 /// A parsed JSON value.

@@ -11,9 +11,8 @@
 //!   [`Sampler`], the enum-dispatch handle that keeps sampling at one
 //!   predictable branch per event when disabled, mirroring
 //!   `bds-trace::Tracer`.
-//! * [`export`]/[`jsonv`]/[`regress`] — Prometheus text and sparkline
-//!   rendering, a JSON reader, and the bench-regression comparison core
-//!   used by the `benchdiff` CLI and `repro`'s baseline delta line.
+//! * [`export`]/[`jsonv`] — Prometheus text and sparkline rendering,
+//!   and the JSON reader the snapshot decoder uses.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -22,12 +21,10 @@ pub mod export;
 pub mod hist;
 pub mod instrument;
 pub mod jsonv;
-pub mod regress;
 pub mod series;
 
 pub use export::{check_exposition, sparkline, PromText};
 pub use hist::{LogHistogram, REL_ERROR, TICKS_PER_SEC};
 pub use instrument::{Counter, Gauge};
 pub use jsonv::{parse, JsonValue};
-pub use regress::{compare, DiffReport, Tolerances};
 pub use series::{ActiveSampler, Sampler, TimeSeries};

@@ -80,9 +80,22 @@ fn artifacts_identical_at_jobs_1_and_jobs_8() {
     assert_eq!(serial.cache().len(), parallel.cache().len());
 }
 
+/// Exact `(scheduler, completed, trace records)` of the traced
+/// high-contention point below, per paper scheduler. The simulator is
+/// deterministic, so any drift is a behaviour change.
+const TRACED_COUNTS: [(&str, u64, u64); 6] = [
+    ("NODC", 140, 7_513),
+    ("ASL", 127, 20_832),
+    ("GOW", 110, 21_944),
+    ("LOW", 123, 29_354),
+    ("C2PL", 49, 51_160),
+    ("OPT", 25, 8_961),
+];
+
 /// Traces are part of the determinism contract too: a traced run must
 /// produce byte-identical report JSON, Chrome trace and span summary no
-/// matter how many workers execute the batch.
+/// matter how many workers execute the batch, with pinned commit and
+/// trace-record counts.
 #[test]
 fn traced_exports_identical_at_jobs_1_and_jobs_8() {
     let cells: Vec<SimConfig> = SchedulerKind::PAPER_SET
@@ -94,21 +107,31 @@ fn traced_exports_identical_at_jobs_1_and_jobs_8() {
             c
         })
         .collect();
-    let render = |jobs: usize| -> Vec<[String; 3]> {
+    let render = |jobs: usize| -> Vec<([String; 3], u64, u64)> {
         map_jobs(&cells, jobs, |_, cfg| {
             let (report, data) = Simulator::run_traced(cfg, 1 << 20);
             let summary = Analysis::from_data(&data).summary_json();
-            [report.to_json(), chrome_trace(&data), summary]
+            (
+                [report.to_json(), chrome_trace(&data), summary],
+                report.completed,
+                data.counts.total(),
+            )
         })
     };
     let serial = render(1);
     let parallel = render(8);
     for (i, (a, b)) in serial.iter().zip(&parallel).enumerate() {
+        let kind = SchedulerKind::PAPER_SET[i];
         assert_eq!(
-            a,
-            b,
-            "traced exports for {} differ between --jobs 1 and --jobs 8",
-            SchedulerKind::PAPER_SET[i]
+            a, b,
+            "traced exports for {kind} differ between --jobs 1 and --jobs 8"
+        );
+        let (label, completed, records) = TRACED_COUNTS[i];
+        assert_eq!(label, kind.to_string(), "TRACED_COUNTS out of order");
+        assert_eq!(
+            (a.1, a.2),
+            (completed, records),
+            "{kind}: (completed, trace records) drifted"
         );
     }
 }
